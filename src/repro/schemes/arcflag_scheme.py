@@ -234,17 +234,20 @@ class ArcFlagScheme(Scheme):
 
         # round 2: source and destination regions
         rounds.begin_round()
-        for region_id in touched[:2]:
-            rounds.fetch_many(DATA_FILE, header.data_pages_for_region(region_id))
-        rounds.pad(DATA_FILE, 2 * self.pages_per_region)
+        rounds.fetch_round(
+            DATA_FILE,
+            [header.data_pages_for_region(region_id) for region_id in touched[:2]],
+            2 * self.pages_per_region,
+        )
 
         # subsequent rounds: one region per round, then dummy rounds
         for region_id in touched[2:]:
             rounds.begin_round()
-            rounds.fetch_many(DATA_FILE, header.data_pages_for_region(region_id))
-            rounds.pad(DATA_FILE, self.pages_per_region)
+            rounds.fetch_round(
+                DATA_FILE, [header.data_pages_for_region(region_id)], self.pages_per_region
+            )
         for _ in range(self.max_regions - max(len(touched), 2)):
             rounds.begin_round()
-            rounds.pad(DATA_FILE, self.pages_per_region)
+            rounds.fetch_round(DATA_FILE, [], self.pages_per_region)
 
         return self.finish_query(path, trace, timer.seconds)

@@ -6,7 +6,8 @@ same machinery:
 
 * the :class:`RoundManager` performs header downloads and PIR page fetches,
   recording them in an :class:`~repro.pir.AccessTrace`,
-* the scheme pads every round with dummy retrievals until it matches the plan,
+* :meth:`RoundManager.fetch_round` pads every round with dummy retrievals
+  until it matches the plan and sends each (file, round) as one PIR batch,
 * :func:`verify_plan_conformance` asserts (not just hopes) that the adversary
   view equals the plan's canonical view, and
 * :func:`response_time_from_trace` converts the trace into the paper's
@@ -154,44 +155,46 @@ class RoundManager:
     def download_header(self) -> bytes:
         return self._pir.download_header(self._trace)
 
-    def fetch(self, file_name: str, page_number: int) -> bytes:
-        data = self._pir.retrieve_page(file_name, page_number, self._trace)
-        self._round_counts[file_name] = self._round_counts.get(file_name, 0) + 1
-        return data
-
-    def fetch_many(self, file_name: str, page_numbers: Sequence[int]) -> List[bytes]:
-        """Fetch a batch of pages in one call.
-
-        Routed through the simulator's batched retrieval so a sharded store
-        serves each shard's sub-batch through its own connection; traces and
-        costs are identical to repeated :meth:`fetch` calls.
-        """
-        page_numbers = list(page_numbers)
-        data = self._pir.retrieve_pages(file_name, page_numbers, self._trace)
-        self._round_counts[file_name] = (
-            self._round_counts.get(file_name, 0) + len(page_numbers)
-        )
-        return data
-
     def pages_fetched_this_round(self, file_name: str) -> int:
         return self._round_counts.get(file_name, 0)
 
-    def pad(self, file_name: str, target_pages: int) -> None:
-        """Issue dummy retrievals until ``target_pages`` pages of ``file_name``
-        have been fetched in the current round.
+    def fetch_round(
+        self, file_name: str, groups: Sequence[Sequence[int]], pad_to: int
+    ) -> List[List[bytes]]:
+        """Fetch this round's pages of ``file_name`` as one PIR retrieval.
 
-        Dummy requests target uniformly random pages so they are
-        indistinguishable from real ones at the PIR layer.
+        ``groups`` lists the real pages, grouped as the caller wants them
+        back (e.g. one group per region).  The round is padded up to
+        ``pad_to`` pages with dummy retrievals of uniformly random pages,
+        indistinguishable from real ones at the PIR layer.  Real pages and
+        dummies go out in one ``retrieve_pages`` call, so the servers see
+        one batch of subset masks per (file, round).  A round that needs
+        more than ``pad_to`` real pages, or that fetches ``file_name`` a
+        second time, is rejected before any retrieval is issued.  Returns
+        the real pages' bytes, one list per group.
         """
-        already = self.pages_fetched_this_round(file_name)
-        if already > target_pages:
+        groups = [list(group) for group in groups]
+        real = [page for group in groups for page in group]
+        if file_name in self._round_counts:
             raise PlanViolationError(
-                f"query fetched {already} pages from {file_name!r} but the plan "
-                f"allows only {target_pages}"
+                f"{file_name!r} was already fetched this round; a round fetches "
+                "each file in one retrieval"
+            )
+        if len(real) > pad_to:
+            raise PlanViolationError(
+                f"query needs {len(real)} pages from {file_name!r} but the plan "
+                f"allows only {pad_to}"
             )
         num_pages = self._pir.database.file(file_name).num_pages
-        for _ in range(target_pages - already):
-            self.fetch(file_name, self._rng.randrange(num_pages))
+        dummies = [self._rng.randrange(num_pages) for _ in range(pad_to - len(real))]
+        data = self._pir.retrieve_pages(file_name, real + dummies, self._trace)
+        self._round_counts[file_name] = pad_to
+        out: List[List[bytes]] = []
+        position = 0
+        for group in groups:
+            out.append(data[position:position + len(group)])
+            position += len(group)
+        return out
 
 
 def verify_plan_conformance(trace: AccessTrace, plan: QueryPlan) -> None:

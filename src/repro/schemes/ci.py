@@ -194,15 +194,16 @@ class ConciseIndexScheme(Scheme):
         # round 2: one look-up page
         rounds.begin_round()
         lookup_page, slot = header.lookup_page_for(source_region, target_region)
-        lookup_bytes = rounds.fetch(LOOKUP_FILE, lookup_page)
+        [[lookup_bytes]] = rounds.fetch_round(LOOKUP_FILE, [[lookup_page]], 1)
         with timer:
             index_start_page = read_lookup_entry(lookup_bytes, slot)
 
         # round 3: the fixed window of network-index pages
         rounds.begin_round()
         index_pages = header.index_pages_starting_at(index_start_page)
-        fetched_index = rounds.fetch_many(INDEX_FILE, index_pages)
-        rounds.pad(INDEX_FILE, header.index_fetch_pages)
+        [fetched_index] = rounds.fetch_round(
+            INDEX_FILE, [index_pages], header.index_fetch_pages
+        )
         with timer:
             entry = decode_index_entry(fetched_index, (source_region, target_region))
             if entry is None or entry.regions is None:
@@ -211,11 +212,11 @@ class ConciseIndexScheme(Scheme):
 
         # round 4: region data pages, padded to m + 2
         rounds.begin_round()
-        payloads = []
-        for region_id in regions_to_fetch:
-            pages = rounds.fetch_many(DATA_FILE, header.data_pages_for_region(region_id))
-            payloads.append(pages)
-        rounds.pad(DATA_FILE, header.data_round_pages)
+        payloads = rounds.fetch_round(
+            DATA_FILE,
+            [header.data_pages_for_region(region_id) for region_id in regions_to_fetch],
+            header.data_round_pages,
+        )
 
         def solve() -> QueryResult:
             with timer:

@@ -254,15 +254,16 @@ class HybridScheme(Scheme):
         # round 2: one look-up page
         rounds.begin_round()
         lookup_page, slot = header.lookup_page_for(source_region, target_region)
-        lookup_bytes = rounds.fetch(LOOKUP_FILE, lookup_page)
+        [[lookup_bytes]] = rounds.fetch_round(LOOKUP_FILE, [[lookup_page]], 1)
         with timer:
             index_start_page = read_lookup_entry(lookup_bytes, slot)
 
         # round 3: r pages of the combined file at the entry's position
         rounds.begin_round()
         window = header.index_pages_starting_at(index_start_page)
-        fetched_index = rounds.fetch_many(COMBINED_FILE, window)
-        rounds.pad(COMBINED_FILE, header.index_fetch_pages)
+        [fetched_index] = rounds.fetch_round(
+            COMBINED_FILE, [window], header.index_fetch_pages
+        )
         key = (source_region, target_region)
         with timer:
             entry = decode_index_entry(fetched_index, key)
@@ -271,23 +272,23 @@ class HybridScheme(Scheme):
 
         # round 4: continuation pages (subgraph case), region data pages, dummies
         rounds.begin_round()
-        continuation_pages: list = []
+        continuation: list = []
         if entry.edges is not None and header.index_continuation_pages > 0:
             first_continuation = window[-1] + 1 if window else 0
             last_continuation = min(
                 header.num_index_pages, first_continuation + header.index_continuation_pages
             )
             continuation = list(range(first_continuation, last_continuation))
-            continuation_pages = rounds.fetch_many(COMBINED_FILE, continuation)
         if entry.regions is not None:
             regions_to_fetch = sorted(set(entry.regions) | {source_region, target_region})
         else:
             regions_to_fetch = sorted({source_region, target_region})
-        payloads = []
-        for region_id in regions_to_fetch:
-            pages = rounds.fetch_many(COMBINED_FILE, header.data_pages_for_region(region_id))
-            payloads.append(pages)
-        rounds.pad(COMBINED_FILE, header.data_round_pages)
+        continuation_pages, *payloads = rounds.fetch_round(
+            COMBINED_FILE,
+            [continuation]
+            + [header.data_pages_for_region(region_id) for region_id in regions_to_fetch],
+            header.data_round_pages,
+        )
         is_subgraph_entry = entry.edges is not None
         round3_entry = entry
 

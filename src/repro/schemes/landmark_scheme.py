@@ -220,16 +220,18 @@ class LandmarkScheme(Scheme):
 
         # round 2: source and destination regions
         rounds.begin_round()
-        for region_id in touched[:2]:
-            rounds.fetch(DATA_FILE, header.data_pages_for_region(region_id)[0])
-        rounds.pad(DATA_FILE, 2)
+        rounds.fetch_round(
+            DATA_FILE,
+            [header.data_pages_for_region(region_id)[:1] for region_id in touched[:2]],
+            2,
+        )
 
         # subsequent rounds: one page per region touched by the search, then dummies
         for region_id in touched[2:]:
             rounds.begin_round()
-            rounds.fetch(DATA_FILE, header.data_pages_for_region(region_id)[0])
+            rounds.fetch_round(DATA_FILE, [header.data_pages_for_region(region_id)[:1]], 1)
         for _ in range(self.max_pages - max(len(touched), 2)):
             rounds.begin_round()
-            rounds.pad(DATA_FILE, 1)
+            rounds.fetch_round(DATA_FILE, [], 1)
 
         return self.finish_query(path, trace, timer.seconds)

@@ -35,28 +35,79 @@ class TestRoundManager:
     def test_fetch_and_round_counters(self, round_manager):
         manager, trace = round_manager
         manager.begin_round()
-        manager.fetch("lookup", 1)
+        manager.fetch_round("lookup", [[1]], 1)
         assert manager.pages_fetched_this_round("lookup") == 1
         manager.begin_round()
         assert manager.pages_fetched_this_round("lookup") == 0
-        manager.fetch_many("data", [0, 1, 2])
+        manager.fetch_round("data", [[0, 1, 2]], 3)
         assert manager.pages_fetched_this_round("data") == 3
         assert trace.total_pir_accesses() == 4
 
-    def test_pad_issues_dummy_requests(self, round_manager):
+    def test_pages_come_back_in_the_callers_groups(self, round_manager, toy_database):
+        manager, _ = round_manager
+        manager.begin_round()
+        groups = manager.fetch_round("data", [[3], [], [5, 0]], 6)
+        page = toy_database.file("data").read_page
+        assert groups == [[page(3)], [], [page(5), page(0)]]
+
+    def test_round_issues_dummy_requests(self, round_manager):
         manager, trace = round_manager
         manager.begin_round()
-        manager.fetch("data", 0)
-        manager.pad("data", 5)
+        manager.fetch_round("data", [[0]], 5)
         assert manager.pages_fetched_this_round("data") == 5
         assert trace.pir_accesses_per_file() == {"data": 5}
 
-    def test_pad_rejects_overfetch(self, round_manager):
-        manager, _ = round_manager
+    def test_dummy_only_round(self, round_manager):
+        manager, trace = round_manager
         manager.begin_round()
-        manager.fetch_many("data", [0, 1, 2])
+        assert manager.fetch_round("data", [], 2) == []
+        assert trace.pir_accesses_per_file() == {"data": 2}
+
+    def test_dummies_are_drawn_from_the_dummy_rng(self, round_manager):
+        manager, trace = round_manager
+        manager.begin_round()
+        manager.fetch_round("data", [[0, 1]], 5)
+        draws = random.Random(0)
+        expected = [0, 1] + [draws.randrange(8) for _ in range(3)]
+        assert [page for _, _, page in trace.private_page_requests()] == expected
+
+    def test_one_retrieval_per_file_and_round(self, round_manager, monkeypatch):
+        manager, _ = round_manager
+        calls = []
+        retrieve_pages = manager._pir.retrieve_pages
+
+        def counting(file_name, page_numbers, trace=None):
+            calls.append((file_name, len(page_numbers)))
+            return retrieve_pages(file_name, page_numbers, trace)
+
+        monkeypatch.setattr(manager._pir, "retrieve_pages", counting)
+        manager.begin_round()
+        manager.fetch_round("data", [[0], [1, 2]], 6)
+        assert calls == [("data", 6)]
+
+    def test_round_rejects_overfetch_before_any_retrieval(self, toy_database):
+        pir = UsablePirSimulator(toy_database, spec=SystemSpec(page_size=64),
+                                 enforce_limits=False, xor_kernel="bigint",
+                                 log_queries=True)
+        trace = AccessTrace()
+        manager = RoundManager(pir, trace, random.Random(0))
+        manager.begin_round()
         with pytest.raises(PlanViolationError):
-            manager.pad("data", 2)
+            manager.fetch_round("data", [[0, 1], [2]], 2)
+        assert trace.total_pir_accesses() == 0
+        assert pir.queries_seen == []
+        assert manager.pages_fetched_this_round("data") == 0
+
+    def test_second_fetch_of_a_file_in_one_round_is_rejected(self, round_manager):
+        manager, trace = round_manager
+        manager.begin_round()
+        manager.fetch_round("data", [[0]], 2)
+        with pytest.raises(PlanViolationError):
+            manager.fetch_round("data", [[1]], 2)
+        assert trace.total_pir_accesses() == 2
+        manager.begin_round()
+        manager.fetch_round("data", [[1]], 2)
+        assert trace.total_pir_accesses() == 4
 
     def test_header_download(self, round_manager):
         manager, trace = round_manager
