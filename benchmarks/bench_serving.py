@@ -33,10 +33,6 @@ OFFERED_RATE = 1500.0
 NUM_SHARDS = 4
 DURATION_S = 2.0
 WARMUP_S = 0.5
-#: Per-server answer threads — 2 exercises the kernel sub-call split under
-#: load (bit-identity is invariant I2 regardless of the thread count); the
-#: parallel *gain* is machine-dependent and deliberately not floored.
-ANSWER_THREADS = 2
 
 
 def _build_scheme(num_nodes=1000, seed=13):
@@ -60,7 +56,6 @@ def run_serving_benchmark(
     duration_s=DURATION_S,
     warmup_s=WARMUP_S,
     num_queries=12,
-    answer_threads=ANSWER_THREADS,
     seed=13,
 ):
     scheme = _build_scheme(num_nodes=num_nodes, seed=seed)
@@ -71,10 +66,7 @@ def run_serving_benchmark(
     )
 
     with ShardCluster(
-        scheme.database,
-        num_shards=num_shards,
-        kernel=kernel,
-        answer_threads=answer_threads,
+        scheme.database, num_shards=num_shards, kernel=kernel
     ) as cluster:
         report = run_loadgen(
             cluster.addresses,
@@ -113,8 +105,6 @@ def run_serving_benchmark(
         "coalesced_flushes": sum(s["flushes"] for s in report.shard_stats),
         "masks_answered": sum(s["masks_answered"] for s in report.shard_stats),
         "largest_flush": max(s["largest_flush"] for s in report.shard_stats),
-        "answer_threads": answer_threads,
-        "kernel_subcalls": sum(s["kernel_subcalls"] for s in report.shard_stats),
         "engine_queries": num_queries,
         "bit_identical": bit_identical,
     }
@@ -131,9 +121,7 @@ def _format(results):
         f"  {results['arrivals']} arrivals, {results['busy']} busy, "
         f"{results['errors']} errors, {results['mismatches']} mismatches; "
         f"{results['masks_answered']} masks in {results['coalesced_flushes']} "
-        f"flushes (largest {results['largest_flush']}); "
-        f"{results['answer_threads']} answer thread(s), "
-        f"{results['kernel_subcalls']} kernel sub-calls\n"
+        f"flushes (largest {results['largest_flush']})\n"
         f"  engine batch over TCP bit-identical to in-process: "
         f"{bool(results['bit_identical'])}\n"
     )

@@ -14,16 +14,12 @@ from .kernels import (
     KERNEL_NAMES,
     BigIntKernel,
     PackedDatabase,
-    SharedPackHandle,
-    SharedPackRegistry,
     kernel_from_pages,
     make_kernel,
     numpy_available,
     oblivious_read_many,
     resolve_kernel,
     shared_kernel,
-    shared_kernel_key,
-    shared_pack_registry,
 )
 from .oram import (
     OramBackedPir,
@@ -66,8 +62,6 @@ __all__ = [
     "PirProtocol",
     "PirShard",
     "SecureCoprocessor",
-    "SharedPackHandle",
-    "SharedPackRegistry",
     "ShardMap",
     "ShardedPageStore",
     "ShardedPir",
@@ -89,8 +83,6 @@ __all__ = [
     "resolve_kernel",
     "retrieve_many",
     "shared_kernel",
-    "shared_kernel_key",
-    "shared_pack_registry",
     "stream_encrypt",
     "validate_block_database",
     "validate_subset_mask",

@@ -23,7 +23,10 @@ Three serving behaviours matter beyond "answer the masks":
 
 The server runs its event loop on a background thread, so synchronous
 clients (the engine, the tests, the CLI) can boot and tear it down
-in-process; a real deployment would run one process per shard.
+in-process; a real deployment would run one process per shard.  Kernel work
+runs on one dedicated kernel thread per server: the event loop keeps
+reading and coalescing requests while a flush is answered, and flushes stay
+serialised.
 :class:`ShardCluster` boots one server per shard over a shared store view.
 """
 
@@ -35,9 +38,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import PirError
-from ..pir import resolve_kernel, shared_pack_registry
+from ..pir import resolve_kernel
 from ..pir.batch import mask_indices
-from ..pir.kernels import ServerKernel
 from ..pir.sharded import ShardedPageStore
 from ..storage import Database
 from . import wire
@@ -48,11 +50,6 @@ DEFAULT_COALESCE_WINDOW_S = 0.002
 DEFAULT_MAX_BATCH_MASKS = 512
 #: Bound on masks admitted but not yet answered (admission control).
 DEFAULT_MAX_PENDING_MASKS = 8192
-#: Kernel threads each server answers with (1 = the pre-existing behaviour).
-DEFAULT_ANSWER_THREADS = 1
-#: Minimum masks worth a kernel sub-call when splitting a coalesced flush —
-#: tiny chunks pay more in scheduling than the extra core returns.
-MIN_SPLIT_MASKS = 64
 
 
 class ShardServer:
@@ -70,12 +67,9 @@ class ShardServer:
         max_pending_masks: int = DEFAULT_MAX_PENDING_MASKS,
         max_frame_bytes: int = wire.MAX_FRAME_BYTES,
         log_queries: bool = False,
-        answer_threads: int = DEFAULT_ANSWER_THREADS,
     ) -> None:
         if shard_id < 0 or shard_id >= store.num_shards:
             raise PirError(f"shard {shard_id} out of range for the supplied store")
-        if answer_threads < 1:
-            raise PirError(f"answer_threads must be positive, got {answer_threads}")
         self._store = store
         self.shard_id = shard_id
         self.kernel = resolve_kernel(kernel)
@@ -84,12 +78,6 @@ class ShardServer:
         self.coalesce_window_s = coalesce_window_s
         self.max_batch_masks = max_batch_masks
         self.max_pending_masks = max_pending_masks
-        #: Kernel threads this server splits large coalesced flushes across.
-        #: numpy releases the GIL inside the bitwise kernels, so sub-calls
-        #: run on real cores; answers are concatenated in request order and
-        #: bit-identical for any thread count (each mask's answer is an
-        #: independent function of the pack).
-        self.answer_threads = answer_threads
         self._answer_pool: Optional[ThreadPoolExecutor] = None
         self._max_frame_bytes = max_frame_bytes
         #: Server-side adversary view, opt-in exactly like the simulators:
@@ -102,7 +90,6 @@ class ShardServer:
         self.busy_rejections = 0
         self.requests_served = 0
         self.largest_flush = 0
-        self.kernel_subcalls = 0
         self.address: Optional[Tuple[str, int]] = None
         # loop-thread state
         self._pending: Dict[str, List[Tuple[Sequence[int], asyncio.Future]]] = {}
@@ -164,7 +151,6 @@ class ShardServer:
             "flushes": self.flushes,
             "largest_flush": self.largest_flush,
             "busy_rejections": self.busy_rejections,
-            "kernel_subcalls": self.kernel_subcalls,
         }
 
     def info(self) -> wire.ShardInfo:
@@ -201,7 +187,7 @@ class ShardServer:
         self._idle_event = asyncio.Event()
         self._idle_event.set()
         self._answer_pool = ThreadPoolExecutor(
-            max_workers=self.answer_threads,
+            max_workers=1,
             thread_name_prefix=f"repro-shard-answer-{self.shard_id}",
         )
         server = await asyncio.start_server(self._handle, self._host, self._port)
@@ -360,36 +346,6 @@ class ShardServer:
         assert self._loop is not None
         self._loop.create_task(self._flush(file_name))
 
-    async def _answer_flat(self, kernel: ServerKernel, flat: List[int]) -> List[bytes]:
-        """One flush's kernel work, split across the answer thread pool.
-
-        A flush worth at least two :data:`MIN_SPLIT_MASKS`-sized chunks is
-        divided into contiguous sub-batches answered concurrently (numpy
-        releases the GIL inside the bitwise kernels, so the sub-calls run on
-        real cores) and concatenated back in request order.  Every mask's
-        answer is an independent function of the immutable pack, so the
-        result is bit-identical for any thread count.
-        """
-        assert self._loop is not None
-        pool = self._answer_pool
-        parts = min(self.answer_threads, max(1, len(flat) // MIN_SPLIT_MASKS))
-        if parts <= 1:
-            self.kernel_subcalls += 1
-            return await self._loop.run_in_executor(pool, kernel.answer_many, flat)
-        size = -(-len(flat) // parts)
-        chunks = [flat[start : start + size] for start in range(0, len(flat), size)]
-        self.kernel_subcalls += len(chunks)
-        results = await asyncio.gather(
-            *(
-                self._loop.run_in_executor(pool, kernel.answer_many, chunk)
-                for chunk in chunks
-            )
-        )
-        answers: List[bytes] = []
-        for result in results:
-            answers.extend(result)
-        return answers
-
     async def _flush(self, file_name: str) -> None:
         """Answer every pending mask of one file through one kernel batch."""
         handle = self._flush_handles.pop(file_name, None)
@@ -405,7 +361,9 @@ class ShardServer:
         assert self._loop is not None
         try:
             kernel = self._store.shard_kernel(self.shard_id, file_name, self.kernel)
-            answers = await self._answer_flat(kernel, flat)
+            answers = await self._loop.run_in_executor(
+                self._answer_pool, kernel.answer_many, flat
+            )
         except PirError as exc:
             failure = wire.encode_error(str(exc))
             for _, future in batch:
@@ -454,20 +412,10 @@ class ShardCluster:
         coalesce_window_s: float = DEFAULT_COALESCE_WINDOW_S,
         max_batch_masks: int = DEFAULT_MAX_BATCH_MASKS,
         max_pending_masks: int = DEFAULT_MAX_PENDING_MASKS,
-        answer_threads: int = DEFAULT_ANSWER_THREADS,
-        share_packs: bool = False,
     ) -> None:
         self.store = ShardedPageStore(database, num_shards, strategy)
         self.num_shards = num_shards
         self.strategy = strategy
-        self._kernel = kernel
-        #: Whether :meth:`start` publishes every shard pack to the
-        #: shared-pack registry (``stop`` withdraws and unlinks them).  With
-        #: it on, one machine-wide shared image backs the cluster — other
-        #: processes (shard servers, process workers) attach instead of
-        #: repacking, and the in-process servers answer off the same bytes.
-        self.share_packs = share_packs
-        self._pack_keys: List[Tuple[object, ...]] = []
         self.servers = [
             ShardServer(
                 self.store,
@@ -478,7 +426,6 @@ class ShardCluster:
                 max_batch_masks=max_batch_masks,
                 max_pending_masks=max_pending_masks,
                 log_queries=log_queries,
-                answer_threads=answer_threads,
             )
             for shard_id in range(num_shards)
         ]
@@ -486,9 +433,6 @@ class ShardCluster:
 
     def start(self) -> "ShardCluster":
         if not self._started:
-            if self.share_packs and not self._pack_keys:
-                handles = self.store.publish_shard_packs(kernel=self._kernel)
-                self._pack_keys = list(handles)
             for server in self.servers:
                 server.start()
             self._started = True
@@ -497,9 +441,6 @@ class ShardCluster:
     def stop(self) -> None:
         for server in self.servers:
             server.stop()
-        if self._pack_keys:
-            keys, self._pack_keys = self._pack_keys, []
-            shared_pack_registry().unpublish(keys)
         self._started = False
 
     @property

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.costmodel import SystemSpec
 from repro.engine import QueryEngine
+from repro.exceptions import PirError
 from repro.network import random_planar_network
 from repro.pir import (
     BigIntKernel,
@@ -85,6 +86,64 @@ class TestKernelOracleParity:
             )
         )
         assert packed.answer_many(masks) == oracle.answer_many(masks)
+
+    @settings(max_examples=20, deadline=None)
+    @given(blocks=blocks_strategy())
+    def test_error_paths_identical_to_oracle(self, blocks):
+        """Invalid masks must raise the identical PirError from the packed
+        kernel and the big-int oracle — error text included."""
+        from repro.pir.kernels import PackedDatabase
+
+        packed = PackedDatabase.from_blocks(blocks)
+        oracle = BigIntKernel(blocks)
+        for bad in (-1, 1 << len(blocks), (1 << len(blocks)) | 1):
+            errors = []
+            for kernel in (oracle, packed):
+                with pytest.raises(PirError) as caught:
+                    kernel.answer_mask(bad)
+                errors.append(str(caught.value))
+            assert len(set(errors)) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(blocks=blocks_strategy(), data=st.data())
+    def test_fallback_answers_equal_bigint_answers(self, blocks, data):
+        """A pack without group tables answers small batches by row gather
+        and serving-sized ones by the tiled product; both equal the oracle."""
+        from repro.pir.kernels import PackedDatabase
+
+        packed = PackedDatabase.from_blocks(blocks, max_table_bytes=0)
+        assert packed._tables is None
+        oracle = BigIntKernel(blocks)
+        mask_values = st.integers(min_value=0, max_value=(1 << len(blocks)) - 1)
+        small = data.draw(
+            st.lists(mask_values, max_size=PackedDatabase.TILED_MIN_BATCH - 1)
+        )
+        large = data.draw(
+            st.lists(
+                mask_values,
+                min_size=PackedDatabase.TILED_MIN_BATCH,
+                max_size=2 * PackedDatabase.TILED_MIN_BATCH,
+            )
+        )
+        assert packed.answer_many(small) == oracle.answer_many(small)
+        assert packed.answer_many(large) == oracle.answer_many(large)
+
+    @settings(max_examples=20, deadline=None)
+    @given(blocks=blocks_strategy())
+    def test_fallback_error_paths_identical_to_oracle(self, blocks):
+        """The table budget changes no error: a pack without group tables
+        raises the oracle's PirError, text included."""
+        from repro.pir.kernels import PackedDatabase
+
+        packed = PackedDatabase.from_blocks(blocks, max_table_bytes=0)
+        oracle = BigIntKernel(blocks)
+        for bad in (-1, 1 << len(blocks), (1 << len(blocks)) | 1):
+            errors = []
+            for kernel in (oracle, packed):
+                with pytest.raises(PirError) as caught:
+                    kernel.answer_many([0, bad])
+                errors.append(str(caught.value))
+            assert len(set(errors)) == 1
 
     @settings(max_examples=25, deadline=None)
     @given(blocks=blocks_strategy(), seed=st.integers(min_value=0, max_value=2 ** 31))
@@ -177,6 +236,8 @@ class TestEndToEndEquivalence:
         (2, 2, "thread"),
         (3, 1, "thread"),
         (1, 2, "process"),
+        (2, 2, "process"),
+        (3, 2, "process"),
     ])
     def test_kernel_on_bit_identical_to_kernel_off(
         self, ci_scheme, pairs, baseline, kernel, shards, workers, worker_mode
@@ -207,6 +268,28 @@ class TestEndToEndEquivalence:
         batch = engine.run_batch(pairs, verify_costs=True, workers=2)
         assert batch.store_backend == "mmap"
         assert batch.pir_kernel == kernel
+        assert batch_fingerprint(batch) == baseline
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_kernel_on_disk_backend_process_batches_bit_identical(
+        self, ci_scheme, pairs, baseline, kernel, tmp_path
+    ):
+        """Packs built off mmap page views stay in the engine process;
+        process workers only receive the retrieved page bytes."""
+        with QueryEngine(
+            ci_scheme,
+            cache_entries=64,
+            shards=2,
+            pir_kernel=kernel,
+            store_backend="mmap",
+            store_dir=tmp_path,
+        ) as engine:
+            batch = engine.run_batch(
+                pairs, verify_costs=True, workers=2, worker_mode="process"
+            )
+        assert batch.store_backend == "mmap"
+        assert batch.pir_kernel == kernel
+        assert batch.all_costs_correct
         assert batch_fingerprint(batch) == baseline
 
     def test_kernel_default_is_numpy_when_available(self, ci_scheme, pairs):

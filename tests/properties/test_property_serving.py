@@ -69,7 +69,7 @@ class TestRemoteSimulatorEquivalence:
     """RemotePirSimulator versus in-process XOR serving, shard by shard."""
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("num_shards", [1, 3])
+    @pytest.mark.parametrize("num_shards", [1, 2, 3])
     def test_pages_and_query_logs_are_bit_identical(
         self, ci_scheme, kernel, num_shards
     ):
@@ -122,6 +122,7 @@ class TestEngineRemoteEquivalence:
     @pytest.mark.parametrize("num_shards,workers,worker_mode", [
         (1, 1, "thread"),
         (2, 2, "thread"),
+        (2, 2, "process"),
         (3, 2, "process"),
     ])
     def test_remote_batches_are_bit_identical(
@@ -230,6 +231,7 @@ class TestSchemeRemoteEquivalence:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("num_shards,workers,worker_mode", [
         (1, 1, "thread"),
+        (2, 2, "process"),
         (3, 2, "process"),
     ])
     def test_remote_batches_are_bit_identical(

@@ -94,3 +94,13 @@ class TestEngineWarmPool:
         engine.close()
         with pytest.raises(SchemeError):
             pool.executor(1)
+
+    def test_sharded_engine_close_is_idempotent(self, scheme, pairs):
+        engine = QueryEngine(scheme, shards=2)
+        batch = engine.run_batch(pairs, verify_costs=True, workers=2, worker_mode="process")
+        assert batch.all_costs_correct
+        pool = engine.solve_pool
+        engine.close()
+        engine.close()
+        with pytest.raises(SchemeError):
+            pool.executor(1)

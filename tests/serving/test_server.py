@@ -9,10 +9,12 @@ check of the remote path.
 import random
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.exceptions import PirError
+from repro.pir import numpy_available
 from repro.pir.batch import mask_indices
 from repro.pir.sharded import ShardedPageStore
 from repro.serving import (
@@ -25,6 +27,9 @@ from repro.serving import (
 )
 from repro.serving import wire
 from repro.storage import Database
+
+#: Server kernels the kernel-thread cases run for.
+KERNELS = ("numpy", "bigint") if numpy_available() else ("bigint",)
 
 
 def make_database(num_pages=10, page_size=64, files=("data",)):
@@ -96,6 +101,26 @@ class TestAnswering:
             assert pages == store.read_local_batch(0, "data", local)
             assert shard.pages_served == len(local)
             shard.close()
+
+    def test_stats_count_requests_masks_and_flushes(self):
+        database = make_database(num_pages=12)
+        store = ShardedPageStore(database, 1, "round-robin")
+        with ShardServer(store, shard_id=0, coalesce_window_s=0.0) as server:
+            conn = ShardConnection(server.address)
+            for masks in ([0b1], [0b11, 0b101, 0b111]):
+                wire.decode_answer_response(
+                    conn.request(wire.encode_answer_request("data", masks))
+                )
+            conn.close()
+        # stop() drains, so every response is counted once the server is down
+        stats = server.stats()
+        assert stats == {
+            "requests_served": 2,
+            "masks_answered": 4,
+            "flushes": 2,
+            "largest_flush": 3,
+            "busy_rejections": 0,
+        }
 
     def test_unknown_file_is_an_error_and_server_survives(self):
         database = make_database()
@@ -211,6 +236,241 @@ class TestCoalescing:
             conn.close()
 
 
+
+class RecordingKernel:
+    """Wraps a shard kernel; records which thread ran each ``answer_many``
+    and how many calls overlapped.  ``before_answer`` runs first in each."""
+
+    def __init__(self, kernel, before_answer=None):
+        self.kernel = kernel
+        self._before_answer = before_answer
+        self._lock = threading.Lock()
+        self._running = 0
+        self.max_overlap = 0
+        self.threads = []
+
+    def answer_many(self, masks):
+        with self._lock:
+            self._running += 1
+            self.max_overlap = max(self.max_overlap, self._running)
+            self.threads.append(threading.current_thread())
+        try:
+            if self._before_answer is not None:
+                self._before_answer()
+            return self.kernel.answer_many(masks)
+        finally:
+            with self._lock:
+                self._running -= 1
+
+
+class RecordingStore:
+    """A shard-store view whose kernels are :class:`RecordingKernel`s, one
+    per (shard, file, kernel); everything else delegates to ``store``."""
+
+    def __init__(self, store, before_answer=None):
+        self._store = store
+        self._before_answer = before_answer
+        self.recorders = {}
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+    def shard_kernel(self, shard_id, file_name, kernel=None):
+        key = (shard_id, file_name, kernel)
+        if key not in self.recorders:
+            self.recorders[key] = RecordingKernel(
+                self._store.shard_kernel(shard_id, file_name, kernel),
+                self._before_answer,
+            )
+        return self.recorders[key]
+
+
+class TestKernelThread:
+    """Each server answers on one dedicated kernel thread, off its loop."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_kernel_runs_off_the_event_loop_thread(self, kernel):
+        database = make_database(num_pages=12)
+        store = RecordingStore(ShardedPageStore(database, 1, "round-robin"))
+        with ShardServer(store, shard_id=0, kernel=kernel) as server:
+            conn = ShardConnection(server.address)
+            for mask in (0b1, 0b110, 0b1011):
+                wire.decode_answer_response(
+                    conn.request(wire.encode_answer_request("data", [mask]))
+                )
+            conn.close()
+            loop_thread = server._thread
+        (recorder,) = store.recorders.values()
+        assert len(recorder.threads) == 3
+        assert loop_thread not in recorder.threads
+        assert threading.main_thread() not in recorder.threads
+        # one dedicated thread answered every flush
+        assert len(set(recorder.threads)) == 1
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_flushes_queued_behind_a_busy_kernel_run_one_at_a_time(self, kernel):
+        database = make_database(num_pages=16)
+        release = threading.Event()
+        store = RecordingStore(
+            ShardedPageStore(database, 1, "round-robin"),
+            before_answer=lambda: release.wait(timeout=30),
+        )
+        with ShardServer(
+            store, shard_id=0, kernel=kernel, coalesce_window_s=0.0, max_batch_masks=2
+        ) as server:
+            results = {}
+
+            def one_request(index):
+                masks = [index + 1, (index + 1) << 3]
+                conn = ShardConnection(server.address)
+                payload = conn.request(wire.encode_answer_request("data", masks))
+                results[index] = (masks, wire.decode_answer_response(payload))
+                conn.close()
+
+            threads = [
+                threading.Thread(target=one_request, args=(index,)) for index in range(6)
+            ]
+            threads[0].start()
+            deadline = time.monotonic() + 30
+            while (
+                not any(recorder.threads for recorder in store.recorders.values())
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+            for thread in threads[1:]:
+                thread.start()
+            # wait until every later request has left the coalescing queue
+            # for a flush, all of them now queued behind the blocked kernel
+            while (
+                server._outstanding < 6 or server._pending_masks
+            ) and time.monotonic() < deadline:
+                time.sleep(0.005)
+            release.set()
+            for thread in threads:
+                thread.join(timeout=30)
+        stats = server.stats()
+        (recorder,) = store.recorders.values()
+        assert stats["flushes"] == len(recorder.threads) >= 2
+        assert stats["masks_answered"] == 12
+        assert recorder.max_overlap == 1
+        assert len(set(recorder.threads)) == 1
+        assert len(results) == 6
+        for masks, answers in results.values():
+            assert answers == recorder.kernel.answer_many(masks)
+
+    def test_loop_keeps_serving_while_a_flush_is_answered(self):
+        database = make_database(num_pages=8)
+        release = threading.Event()
+        entered = threading.Event()
+
+        def block_until_released():
+            entered.set()
+            assert release.wait(timeout=30)
+
+        store = RecordingStore(
+            ShardedPageStore(database, 1, "round-robin"),
+            before_answer=block_until_released,
+        )
+        with ShardServer(store, shard_id=0) as server:
+            answered = []
+
+            def blocked_request():
+                conn = ShardConnection(server.address)
+                payload = conn.request(wire.encode_answer_request("data", [0b11]))
+                answered.append(wire.decode_answer_response(payload))
+                conn.close()
+
+            worker = threading.Thread(target=blocked_request)
+            worker.start()
+            try:
+                assert entered.wait(timeout=30), "flush never reached the kernel"
+                # the kernel thread is busy; the loop still answers HELLO
+                conn = ShardConnection(server.address)
+                info = wire.decode_hello_response(
+                    conn.request(wire.encode_hello_request())
+                )
+                conn.close()
+                assert info.shard_id == 0
+                assert answered == []
+            finally:
+                release.set()
+                worker.join(timeout=30)
+        assert len(answered) == 1 and len(answered[0]) == 1
+
+    def test_stop_drains_a_flush_held_on_the_kernel_thread(self):
+        database = make_database(num_pages=8)
+        release = threading.Event()
+        entered = threading.Event()
+
+        def block_until_released():
+            entered.set()
+            assert release.wait(timeout=30)
+
+        store = RecordingStore(
+            ShardedPageStore(database, 1, "round-robin"),
+            before_answer=block_until_released,
+        )
+        server = ShardServer(store, shard_id=0)
+        server.start()
+        answered = []
+
+        def blocked_request():
+            conn = ShardConnection(server.address)
+            payload = conn.request(wire.encode_answer_request("data", [0b101]))
+            answered.append(wire.decode_answer_response(payload))
+            conn.close()
+
+        worker = threading.Thread(target=blocked_request)
+        worker.start()
+        assert entered.wait(timeout=30), "flush never reached the kernel"
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()
+        time.sleep(0.05)
+        assert stopper.is_alive(), "stop() returned before the admitted flush"
+        release.set()
+        stopper.join(timeout=30)
+        worker.join(timeout=30)
+        assert not stopper.is_alive()
+        (recorder,) = store.recorders.values()
+        assert answered == [recorder.kernel.answer_many([0b101])]
+
+    def test_stop_shuts_the_kernel_thread_down(self):
+        database = make_database(num_pages=8)
+        store = RecordingStore(ShardedPageStore(database, 1, "round-robin"))
+        with ShardServer(store, shard_id=0) as server:
+            conn = ShardConnection(server.address)
+            wire.decode_answer_response(
+                conn.request(wire.encode_answer_request("data", [0b1]))
+            )
+            conn.close()
+        (recorder,) = store.recorders.values()
+        (kernel_thread,) = set(recorder.threads)
+        kernel_thread.join(timeout=10)
+        assert not kernel_thread.is_alive()
+
+    def test_cluster_servers_use_one_kernel_thread_each(self):
+        database = make_database(num_pages=12)
+        cluster = ShardCluster(database, num_shards=3)
+        store = RecordingStore(cluster.store)
+        for server in cluster.servers:
+            server._store = store
+        with cluster:
+            for address in cluster.addresses:
+                conn = ShardConnection(address)
+                for mask in (0b1, 0b11):
+                    wire.decode_answer_response(
+                        conn.request(wire.encode_answer_request("data", [mask]))
+                    )
+                conn.close()
+        threads_by_shard = {
+            shard_id: set(recorder.threads)
+            for (shard_id, _, _), recorder in store.recorders.items()
+        }
+        assert sorted(threads_by_shard) == [0, 1, 2]
+        assert all(len(threads) == 1 for threads in threads_by_shard.values())
+        assert len(set().union(*threads_by_shard.values())) == 3
+
+
 class TestQueryLogging:
     def test_queries_seen_stays_empty_unless_enabled(self):
         database = make_database(num_pages=8)
@@ -273,71 +533,3 @@ class TestLifecycle:
         finally:
             cluster.stop()
 
-
-class TestAnswerThreads:
-    """Multicore answering: kernel sub-calls split flushes, never answers."""
-
-    def test_invalid_thread_count_rejected(self):
-        database = make_database()
-        store = ShardedPageStore(database, 1, "round-robin")
-        with pytest.raises(PirError, match="answer_threads"):
-            ShardServer(store, shard_id=0, answer_threads=0)
-
-    def test_large_flush_splits_into_kernel_subcalls(self):
-        from repro.serving.server import MIN_SPLIT_MASKS
-
-        database = make_database(num_pages=12)
-        store = ShardedPageStore(database, 1, "round-robin")
-        with ShardServer(store, shard_id=0, answer_threads=3) as server:
-            kernel = store.shard_kernel(0, "data", server.kernel)
-            rng = random.Random(7)
-            masks = [
-                rng.getrandbits(kernel.num_blocks) for _ in range(2 * MIN_SPLIT_MASKS)
-            ]
-            conn = ShardConnection(server.address)
-            answers = wire.decode_answer_response(
-                conn.request(wire.encode_answer_request("data", masks))
-            )
-            conn.close()
-            stats = server.stats()
-        # answer order is the request order even though chunks ran in parallel
-        assert answers == kernel.answer_many(masks)
-        assert stats["flushes"] == 1
-        assert stats["kernel_subcalls"] == 2  # 128 masks / 64-mask split floor
-
-    def test_small_flush_is_one_subcall(self):
-        database = make_database(num_pages=12)
-        store = ShardedPageStore(database, 1, "round-robin")
-        with ShardServer(store, shard_id=0, answer_threads=4) as server:
-            conn = ShardConnection(server.address)
-            wire.decode_answer_response(
-                conn.request(wire.encode_answer_request("data", [0b101, 0b11]))
-            )
-            conn.close()
-            stats = server.stats()
-        assert stats["flushes"] == 1
-        assert stats["kernel_subcalls"] == 1
-
-    def test_answers_bit_identical_across_thread_counts(self):
-        database = make_database(num_pages=14)
-        rng = random.Random(9)
-        masks = [rng.getrandbits(14) for _ in range(150)]
-        outcomes = {}
-        for answer_threads in (1, 4):
-            store = ShardedPageStore(database, 1, "round-robin")
-            with ShardServer(
-                store, shard_id=0, answer_threads=answer_threads
-            ) as server:
-                conn = ShardConnection(server.address)
-                outcomes[answer_threads] = wire.decode_answer_response(
-                    conn.request(wire.encode_answer_request("data", masks))
-                )
-                conn.close()
-        assert outcomes[1] == outcomes[4]
-
-    def test_cluster_passes_answer_threads_through(self):
-        database = make_database(num_pages=9)
-        with ShardCluster(database, num_shards=2, answer_threads=2) as cluster:
-            assert all(server.answer_threads == 2 for server in cluster.servers)
-            for stats in cluster.stats():
-                assert stats["kernel_subcalls"] == 0
